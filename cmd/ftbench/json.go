@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"samft/internal/benchkit"
+	"samft/internal/ckptstore"
 	"samft/internal/experiments"
 	"samft/internal/ft"
 	"samft/internal/netsim"
@@ -62,12 +63,11 @@ type benchDoc struct {
 	Date       string `json:"date"`
 	GoVersion  string `json:"go_version"`
 	GoMaxProcs int    `json:"gomaxprocs"`
-	// Placement/EC record the checkpoint-store configuration the app cells
-	// ran under (ring with full copies unless overridden by -placement/-ec).
-	Placement string                `json:"placement"`
-	EC        string                `json:"ec,omitempty"`
-	Micro     map[string]microBench `json:"micro"`
-	Apps      []appCell             `json:"apps"`
+	// EC records the erasure code the app cells ran under (full copies
+	// unless overridden by -ec).
+	EC    string                `json:"ec,omitempty"`
+	Micro map[string]microBench `json:"micro"`
+	Apps  []appCell             `json:"apps"`
 }
 
 // benchBest runs f through testing.Benchmark `tries` times and keeps
@@ -106,16 +106,15 @@ func toMicro(r testing.BenchmarkResult) microBench {
 // (default BENCH_<date>.json in the current directory), and, when
 // baseline names a previously committed trajectory file, fails on any
 // throughput regression beyond regressionTolerance.
-func benchJSON(out, baseline, scaleName string, scale experiments.Scale, procs []int, store storeConfig) error {
+func benchJSON(out, baseline, scaleName string, scale experiments.Scale, procs []int, ec ckptstore.ECParams) error {
 	doc := benchDoc{
 		Date:       time.Now().Format("2006-01-02"),
 		GoVersion:  runtime.Version(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Placement:  store.placement.String(),
 		Micro:      map[string]microBench{},
 	}
-	if store.ecK > 0 {
-		doc.EC = fmt.Sprintf("%d,%d", store.ecK, store.ecM)
+	if ec.Enabled() {
+		doc.EC = ec.String()
 	}
 
 	micro := []struct {
@@ -152,14 +151,14 @@ func benchJSON(out, baseline, scaleName string, scale experiments.Scale, procs [
 			}
 			ftRun, err := experiments.Run(experiments.Spec{
 				App: app, N: n, Policy: ft.PolicySAM, Scale: scale,
-				Placement: store.placement, ECData: store.ecK, ECParity: store.ecM,
+				ECData: ec.K, ECParity: ec.M,
 			})
 			if err != nil {
 				return err
 			}
 			killed, err := experiments.Run(experiments.Spec{
 				App: app, N: n, Policy: ft.PolicySAM, Scale: scale,
-				Placement: store.placement, ECData: store.ecK, ECParity: store.ecM,
+				ECData: ec.K, ECParity: ec.M,
 				Kills: []experiments.KillEvent{{Rank: n / 2, Step: 2}},
 			})
 			if err != nil {

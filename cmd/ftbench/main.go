@@ -3,8 +3,8 @@
 // (Figures 3–5 and their statistics tables), the recovery-time result,
 // and the ablations from DESIGN.md (naive checkpointing policy,
 // replication degree, eager freeing, the consistent-global-checkpoint
-// baseline, the snapshot-cache ablation, and the checkpoint-placement /
-// erasure-coding ablation).
+// baseline, the snapshot-cache ablation, and the erasure-coding
+// ablation).
 //
 // Independent cells of each sweep run concurrently (bounded by -par);
 // output ordering is identical to a sequential sweep.
@@ -17,9 +17,8 @@
 //	ftbench -exp water -par 1   # sequential baseline for timing
 //	ftbench -chaos              # seeded multi-failure chaos sweep
 //	ftbench -chaos -seed 42 -schedules 50
-//	ftbench -chaos -placement spread
 //	ftbench -exp recovery -ec 2,2
-//	ftbench -exp ablation-placement
+//	ftbench -exp ablation-ec
 package main
 
 import (
@@ -37,14 +36,13 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: gps|water|barnes|recovery|chaos|ablation-naive|ablation-degree|ablation-force|ablation-snapcache|ablation-placement|baseline-consistent|all")
+	exp := flag.String("exp", "all", "experiment: gps|water|barnes|recovery|chaos|ablation-naive|ablation-degree|ablation-force|ablation-snapcache|ablation-ec|baseline-consistent|all")
 	scaleFlag := flag.String("scale", "small", "workload scale: small|paper")
 	procsFlag := flag.String("procs", "1,2,4,8", "comma-separated processor counts")
 	par := flag.Int("par", 0, "max concurrent cluster simulations (0 = GOMAXPROCS)")
 	chaosFlag := flag.Bool("chaos", false, "shorthand for -exp chaos")
 	seed := flag.Uint64("seed", 1, "chaos master seed (reproduces a sweep exactly)")
 	schedules := flag.Int("schedules", 20, "chaos kill schedules per application")
-	placementFlag := flag.String("placement", "", "checkpoint-copy placement policy for recovery/chaos/-json runs: ring|affinity|spread (default ring)")
 	ecFlag := flag.String("ec", "", "erasure-code checkpoint copies as k,m Reed-Solomon shards for recovery/chaos/-json runs (default off)")
 	traceDir := flag.String("trace", "", "dump virtual-time traces (Chrome JSON + recovery report) under this directory")
 	jsonFlag := flag.Bool("json", false, "emit the benchmark trajectory file (BENCH_<date>.json) instead of figures")
@@ -63,20 +61,15 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	placement, err := ckptstore.ParseKind(*placementFlag)
+	ec, err := ckptstore.ParseEC(*ecFlag)
 	if err != nil {
 		fatal(err)
 	}
-	ecK, ecM, err := parseEC(*ecFlag)
-	if err != nil {
-		fatal(err)
-	}
-	store := storeConfig{placement: placement, ecK: ecK, ecM: ecM}
 	if *par > 0 {
 		experiments.SetParallelism(*par)
 	}
 	if *jsonFlag {
-		if err := benchJSON(*outFlag, *baselineFlag, *scaleFlag, scale, procs, store); err != nil {
+		if err := benchJSON(*outFlag, *baselineFlag, *scaleFlag, scale, procs, ec); err != nil {
 			fatal(err)
 		}
 		return
@@ -94,11 +87,11 @@ func main() {
 	run("gps", func() error { return figure(experiments.GPS, scale, procs) })
 	run("water", func() error { return figure(experiments.Water, scale, procs) })
 	run("barnes", func() error { return figure(experiments.Barnes, scale, procs) })
-	run("recovery", func() error { return recovery(scale, *traceDir, store) })
+	run("recovery", func() error { return recovery(scale, *traceDir, ec) })
 	// Chaos is not part of -exp all: it runs 3 x -schedules full cluster
 	// simulations and is a correctness sweep, not a figure regeneration.
 	if *exp == "chaos" {
-		if err := chaos(scale, *seed, *schedules, *traceDir, store); err != nil {
+		if err := chaos(scale, *seed, *schedules, *traceDir, ec); err != nil {
 			fatal(fmt.Errorf("chaos: %w", err))
 		}
 	}
@@ -106,42 +99,18 @@ func main() {
 	run("ablation-degree", func() error { return ablationDegree(scale) })
 	run("ablation-force", func() error { return ablationForce(scale) })
 	run("ablation-snapcache", func() error { return ablationSnapCache(scale) })
-	run("ablation-placement", func() error { return ablationPlacement(scale) })
+	run("ablation-ec", func() error { return ablationEC(scale) })
 	run("baseline-consistent", func() error { return baselineConsistent(scale, procs) })
 }
 
-// storeConfig bundles the -placement / -ec flags: the checkpoint-store
-// configuration applied to the recovery, chaos, and -json runs.
-type storeConfig struct {
-	placement ckptstore.Kind
-	ecK, ecM  int
-}
-
-// label renders the configuration for table output ("ring", "spread+ec(2,1)").
-func (s storeConfig) label() string {
-	out := s.placement.String()
-	if s.ecK > 0 {
-		out += fmt.Sprintf("+ec(%d,%d)", s.ecK, s.ecM)
+// storeLabel renders the -ec checkpoint-store configuration applied to
+// the recovery, chaos, and -json runs for table output ("copies",
+// "ec(2,1)").
+func storeLabel(ec ckptstore.ECParams) string {
+	if !ec.Enabled() {
+		return "copies"
 	}
-	return out
-}
-
-func parseEC(s string) (k, m int, err error) {
-	if s == "" {
-		return 0, 0, nil
-	}
-	parts := strings.Split(s, ",")
-	if len(parts) != 2 {
-		return 0, 0, fmt.Errorf("bad -ec %q: want k,m (e.g. -ec 2,1)", s)
-	}
-	k, err = strconv.Atoi(strings.TrimSpace(parts[0]))
-	if err == nil {
-		m, err = strconv.Atoi(strings.TrimSpace(parts[1]))
-	}
-	if err != nil || k < 1 || m < 1 {
-		return 0, 0, fmt.Errorf("bad -ec %q: want two positive integers k,m", s)
-	}
-	return k, m, nil
+	return fmt.Sprintf("ec(%d,%d)", ec.K, ec.M)
 }
 
 func parseProcs(s string) ([]int, error) {
@@ -181,8 +150,8 @@ func figure(app experiments.AppKind, scale experiments.Scale, procs []int) error
 // share the machine; they run sequentially to keep output ordering tidy.
 // With -trace, each killed run records its virtual-time timeline; the
 // phase-decomposed recovery report is printed and the Chrome trace dumped.
-func recovery(scale experiments.Scale, traceDir string, store storeConfig) error {
-	fmt.Printf("== Recovery (kill one process mid-run, E4; placement=%s) ==\n", store.label())
+func recovery(scale experiments.Scale, traceDir string, ec ckptstore.ECParams) error {
+	fmt.Printf("== Recovery (kill one process mid-run, E4; store=%s) ==\n", storeLabel(ec))
 	fmt.Printf("%-12s %8s %10s %14s %12s\n", "app", "procs", "killed", "recovery(s)", "answer-ok")
 	type traced struct {
 		app    experiments.AppKind
@@ -196,7 +165,7 @@ func recovery(scale experiments.Scale, traceDir string, store storeConfig) error
 		}
 		spec := experiments.Spec{
 			App: app, N: 4, Policy: ft.PolicySAM, Scale: scale,
-			Placement: store.placement, ECData: store.ecK, ECParity: store.ecM,
+			ECData: ec.K, ECParity: ec.M,
 			Kills: []experiments.KillEvent{{Rank: 2, Step: 2}},
 		}
 		if traceDir != "" {
@@ -228,19 +197,19 @@ func recovery(scale experiments.Scale, traceDir string, store storeConfig) error
 // takeover, re-kills during recovery) with message jitter and exit-
 // notification drop/duplication, each verified bit-for-bit against the
 // fault-free answer and checked for post-run state invariants.
-func chaos(scale experiments.Scale, seed uint64, schedules int, traceDir string, store storeConfig) error {
+func chaos(scale experiments.Scale, seed uint64, schedules int, traceDir string, ec ckptstore.ECParams) error {
 	failed := 0
 	for _, app := range []experiments.AppKind{experiments.GPS, experiments.Water, experiments.Barnes} {
 		spec := experiments.ChaosSpec{
 			App: app, Scale: scale, Seed: seed, Schedules: schedules,
-			Placement: store.placement, ECData: store.ecK, ECParity: store.ecM,
+			ECData: ec.K, ECParity: ec.M,
 			Jitter: true, NotifyChaos: true, TraceDir: traceDir,
 		}
-		if store.ecK > 0 {
+		if ec.Enabled() {
 			// The shards need N-1 >= k+m non-owner ranks to land on. (The
 			// schedule generator itself caps distinct victims at the code's
 			// m-loss budget, so MaxKills needs no forcing here.)
-			spec.N = store.ecK + store.ecM + 1
+			spec.N = ec.Shards() + 1
 		}
 		res, err := experiments.RunChaos(spec)
 		if err != nil {
@@ -358,37 +327,29 @@ func ablationSnapCache(scale experiments.Scale) error {
 	return nil
 }
 
-// ablationPlacement sweeps the ckptstore configurations (A6): the three
-// placement policies at full replication plus Reed-Solomon (k,m) cells,
-// all on GPS at N=5 with a mid-run kill. Columns map to the EXPERIMENTS.md
-// ablation table: replica bytes are the memory/network overhead of the
-// redundancy, recovery(s) the modeled restore time after the kill,
-// survivable the number of simultaneous failures the configuration is
-// guaranteed to survive (copies: min(Degree, N-1); EC: m), and the repair
-// columns the proactive re-replication traffic that restores coverage
-// after recovery.
-func ablationPlacement(scale experiments.Scale) error {
-	const n = 5
-	fmt.Println("== Ablation A6: checkpoint placement policy and erasure coding (GPS, 5 procs, 1 kill) ==")
+// ablationEC sweeps the ckptstore configurations (A6): full replication
+// plus Reed-Solomon (k,m) cells, all on GPS at N=5 with a mid-run kill.
+// Columns map to the EXPERIMENTS.md ablation table: replica bytes are the
+// memory/network overhead of the redundancy, recovery(s) the modeled
+// restore time after the kill, survivable the number of simultaneous
+// failures the configuration is guaranteed to survive
+// (ckptstore.KillBudget), and the repair columns the proactive
+// re-replication traffic that restores coverage after recovery.
+func ablationEC(scale experiments.Scale) error {
+	const n, degree = 5, 2
+	fmt.Println("== Ablation A6: erasure coding vs full copies (GPS, 5 procs, 1 kill) ==")
 	fmt.Printf("%-16s %10s %14s %12s %12s %14s %12s\n",
 		"config", "survivable", "replica bytes", "recovery(s)", "repair objs", "repair bytes", "answer-ok")
 	base, err := experiments.Run(experiments.Spec{App: experiments.GPS, N: n, Policy: ft.PolicyOff, Scale: scale})
 	if err != nil {
 		return err
 	}
-	cells := []storeConfig{
-		{placement: ckptstore.Ring},
-		{placement: ckptstore.Affinity},
-		{placement: ckptstore.Spread},
-		{placement: ckptstore.Ring, ecK: 2, ecM: 1},
-		{placement: ckptstore.Ring, ecK: 2, ecM: 2},
-		{placement: ckptstore.Ring, ecK: 3, ecM: 1},
-	}
+	cells := []ckptstore.ECParams{{}, {K: 2, M: 1}, {K: 2, M: 2}, {K: 3, M: 1}}
 	var specs []experiments.Spec
 	for _, c := range cells {
 		specs = append(specs, experiments.Spec{
-			App: experiments.GPS, N: n, Policy: ft.PolicySAM, Degree: 2, Scale: scale,
-			Placement: c.placement, ECData: c.ecK, ECParity: c.ecM,
+			App: experiments.GPS, N: n, Policy: ft.PolicySAM, Degree: degree, Scale: scale,
+			ECData: c.K, ECParity: c.M,
 			Kills: []experiments.KillEvent{{Rank: 2, Step: 2}},
 		})
 	}
@@ -398,12 +359,8 @@ func ablationPlacement(scale experiments.Scale) error {
 	}
 	for i, res := range results {
 		c := cells[i]
-		survivable := 2 // Degree
-		if c.ecK > 0 {
-			survivable = c.ecM
-		}
 		fmt.Printf("%-16s %10d %14d %12.3f %12d %14d %12v\n",
-			c.label(), survivable, res.Report.Total.ReplicaBytes, res.RecoverySec,
+			storeLabel(c), ckptstore.KillBudget(degree, n, c), res.Report.Total.ReplicaBytes, res.RecoverySec,
 			res.Report.Total.RepairObjects, res.Report.Total.RepairBytes,
 			res.Answer == base.Answer)
 	}

@@ -2,7 +2,6 @@ package ckptstore
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"samft/internal/xrand"
@@ -165,8 +164,5 @@ func TestECParamsString(t *testing.T) {
 	}
 	if s := (ECParams{K: 2, M: 1}).String(); s != "2,1" {
 		t.Errorf("ECParams{2,1}.String() = %q", s)
-	}
-	if s := fmt.Sprint(Spread); s != "spread" {
-		t.Errorf("Spread.String() = %q", s)
 	}
 }

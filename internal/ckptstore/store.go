@@ -2,12 +2,13 @@ package ckptstore
 
 // The Store is one process's view of its own objects' checkpoint copies:
 // a coverage ledger mapping object name -> (checkpoint sequence, holder
-// set). The paper never needed this record because its placement was a
+// set). The paper never needed this record because its placement is a
 // pure function of the name — anybody could recompute where copies
 // *should* be. Three things break that:
 //
-//   - affinity placement depends on the owner's local caching knowledge,
-//     so holder sets are no longer recomputable by other processes;
+//   - repair can move copies off the ring: while a ring holder is down
+//     and not yet replaced, repair re-creates its copy on the next live
+//     rank in ring order, so the ring set no longer names the holders;
 //   - erasure coding gives each holder a distinct shard, so "which rank
 //     holds what" carries real information;
 //   - failures destroy copies, and with no record of what was lost,
@@ -40,38 +41,55 @@ type Config struct {
 	Rank   int
 	N      int
 	Degree int
+	// Policy is always Ring, the only placement; it is accepted and
+	// ignored.
 	Policy Kind
 	EC     ECParams
-	View   View
 }
 
 // Store is the per-process replicated checkpoint store state.
 type Store struct {
 	cfg    Config
-	place  Placement
 	ledger map[uint64]Entry
 }
 
+// ECFeasible reports whether a (k,m) code can run on an n-process
+// cluster: k >= 1, m >= 1 and k+m <= n-1, so every shard lands on a
+// distinct non-owner rank. NewStore drops an infeasible code to full
+// replication.
+func ECFeasible(ec ECParams, n int) bool {
+	return ec.validate() == nil && ec.Shards() <= n-1
+}
+
+// KillBudget is the number of distinct ranks that may be down at once
+// with recovery still guaranteed: m under a feasible (k,m) code (it
+// decodes after at most m losses), min(degree, n-1) under full
+// replication, and never less than 1.
+func KillBudget(degree, n int, ec ECParams) int {
+	budget := degree
+	if n-1 < budget {
+		budget = n - 1
+	}
+	if ECFeasible(ec, n) {
+		budget = ec.M
+	}
+	if budget < 1 {
+		budget = 1
+	}
+	return budget
+}
+
 // NewStore builds a store. The EC parameters are dropped (full
-// replication) when the cluster is too small to hold k+m shards on
-// distinct non-owner ranks.
+// replication) when they are not ECFeasible on the cluster.
 func NewStore(cfg Config) *Store {
 	if cfg.Degree <= 0 {
 		cfg.Degree = 1
 	}
-	if cfg.EC.Enabled() && (cfg.EC.validate() != nil || cfg.EC.Shards() > cfg.N-1) {
+	if !ECFeasible(cfg.EC, cfg.N) {
 		cfg.EC = ECParams{}
 	}
-	cfg.View.N = cfg.N
-	return &Store{
-		cfg:    cfg,
-		place:  New(cfg.Policy, cfg.View),
-		ledger: make(map[uint64]Entry),
-	}
+	return &Store{cfg: cfg, ledger: make(map[uint64]Entry)}
 }
-
-// Policy returns the active placement policy kind.
-func (s *Store) Policy() Kind { return s.cfg.Policy }
 
 // EC returns the active erasure-coding parameters (zero if disabled, which
 // includes the case where NewStore dropped an infeasible configuration).
@@ -91,10 +109,10 @@ func (s *Store) Want() int {
 }
 
 // Plan returns the ranks that should receive the named object's next
-// checkpoint copies, in placement order. Under erasure coding the i-th
-// rank receives shard i+1.
+// checkpoint copies, in ring order. Under erasure coding the i-th rank
+// receives shard i+1.
 func (s *Store) Plan(name uint64, owner int) []int {
-	return s.place.Holders(name, owner, s.Want())
+	return ringHolders(name, owner, s.cfg.N, s.Want())
 }
 
 // Record replaces the ledger entry for name: a fresh checkpoint at seq
@@ -209,10 +227,10 @@ func (s *Store) RepairPlan(name uint64, owner int, exclude func(rank int) bool) 
 	for _, h := range e.Holders {
 		holding[h.Rank] = true
 	}
-	// The policy's full preference ordering, minus current holders and
-	// vetoed ranks, supplies new homes in deterministic order.
+	// The full ring ordering, minus current holders and vetoed ranks,
+	// supplies new homes in deterministic order.
 	var cands []int
-	for _, c := range s.place.Holders(name, owner, s.cfg.N-1) {
+	for _, c := range ringHolders(name, owner, s.cfg.N, s.cfg.N-1) {
 		if holding[c] || (exclude != nil && exclude(c)) {
 			continue
 		}

@@ -5,24 +5,24 @@ import (
 	"testing"
 )
 
-func newTestStore(policy Kind, n, degree int, ec ECParams) *Store {
-	return NewStore(Config{Rank: 0, N: n, Degree: degree, Policy: policy, EC: ec})
+func newTestStore(n, degree int, ec ECParams) *Store {
+	return NewStore(Config{Rank: 0, N: n, Degree: degree, EC: ec})
 }
 
 func TestStoreWant(t *testing.T) {
-	if w := newTestStore(Ring, 4, 2, ECParams{}).Want(); w != 2 {
+	if w := newTestStore(4, 2, ECParams{}).Want(); w != 2 {
 		t.Errorf("Want = %d, want 2", w)
 	}
 	// Degree clamped by cluster size.
-	if w := newTestStore(Ring, 2, 3, ECParams{}).Want(); w != 1 {
+	if w := newTestStore(2, 3, ECParams{}).Want(); w != 1 {
 		t.Errorf("Want (n=2, degree=3) = %d, want 1", w)
 	}
 	// EC wants all k+m shards placed.
-	if w := newTestStore(Ring, 5, 2, ECParams{K: 2, M: 2}).Want(); w != 4 {
+	if w := newTestStore(5, 2, ECParams{K: 2, M: 2}).Want(); w != 4 {
 		t.Errorf("Want (EC 2,2) = %d, want 4", w)
 	}
 	// Infeasible EC (k+m > n-1) falls back to full replication.
-	s := newTestStore(Ring, 4, 2, ECParams{K: 2, M: 2})
+	s := newTestStore(4, 2, ECParams{K: 2, M: 2})
 	if s.EC().Enabled() {
 		t.Error("EC(2,2) on n=4 should be dropped (needs 4 non-owner ranks, have 3)")
 	}
@@ -31,8 +31,35 @@ func TestStoreWant(t *testing.T) {
 	}
 }
 
+// The survivable kill budget is m under a feasible code, min(degree, n-1)
+// otherwise, and at least 1.
+func TestKillBudget(t *testing.T) {
+	for _, tc := range []struct {
+		degree, n int
+		ec        ECParams
+		feasible  bool
+		want      int
+	}{
+		{2, 4, ECParams{}, false, 2},
+		{3, 3, ECParams{}, false, 2},
+		{0, 4, ECParams{}, false, 1},
+		{2, 1, ECParams{}, false, 1},
+		{1, 5, ECParams{K: 2, M: 2}, true, 2},
+		{3, 4, ECParams{K: 2, M: 2}, false, 3},
+		{2, 4, ECParams{K: 2, M: 1}, true, 1},
+		{2, 4, ECParams{K: 2}, false, 2},
+	} {
+		if got := ECFeasible(tc.ec, tc.n); got != tc.feasible {
+			t.Errorf("ECFeasible(%v, n=%d) = %v, want %v", tc.ec, tc.n, got, tc.feasible)
+		}
+		if got := KillBudget(tc.degree, tc.n, tc.ec); got != tc.want {
+			t.Errorf("KillBudget(degree=%d, n=%d, %v) = %d, want %d", tc.degree, tc.n, tc.ec, got, tc.want)
+		}
+	}
+}
+
 func TestStoreLedgerLifecycle(t *testing.T) {
-	s := newTestStore(Ring, 4, 2, ECParams{})
+	s := newTestStore(4, 2, ECParams{})
 	const name = 42
 	s.Record(name, 3, []Holder{{Rank: 1}, {Rank: 2}})
 	if got := s.HolderRanks(name); !reflect.DeepEqual(got, []int{1, 2}) {
@@ -77,7 +104,7 @@ func TestStoreLedgerLifecycle(t *testing.T) {
 }
 
 func TestStoreRepairPlanExcludes(t *testing.T) {
-	s := newTestStore(Ring, 5, 2, ECParams{})
+	s := newTestStore(5, 2, ECParams{})
 	const name = 7
 	s.Record(name, 1, []Holder{{Rank: 1}, {Rank: 2}})
 	s.DropRank(1)
@@ -95,7 +122,7 @@ func TestStoreRepairPlanExcludes(t *testing.T) {
 }
 
 func TestStoreRepairPlanEC(t *testing.T) {
-	s := newTestStore(Spread, 6, 2, ECParams{K: 3, M: 2})
+	s := newTestStore(6, 2, ECParams{K: 3, M: 2})
 	const name = 99
 	ranks := s.Plan(name, 0)
 	if len(ranks) != 5 {
@@ -132,7 +159,7 @@ func TestStoreRepairPlanEC(t *testing.T) {
 }
 
 func TestStoreNamesSorted(t *testing.T) {
-	s := newTestStore(Ring, 4, 2, ECParams{})
+	s := newTestStore(4, 2, ECParams{})
 	for _, n := range []uint64{9, 3, 7, 1} {
 		s.Record(n, 1, []Holder{{Rank: 1}})
 	}

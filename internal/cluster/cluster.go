@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"samft/internal/ckptstore"
 	"samft/internal/ft"
 	"samft/internal/netsim"
 	"samft/internal/pvm"
@@ -27,9 +26,6 @@ type Config struct {
 	Policy ft.Policy
 	// Degree is the replication degree (default 1).
 	Degree int
-	// Placement selects the checkpoint-copy placement policy (ring,
-	// affinity, spread); see internal/ckptstore.
-	Placement ckptstore.Kind
 	// ECData/ECParity, when both positive, erasure-code checkpoint copies
 	// as k data + m parity shards instead of full replicas. Ignored when
 	// the cluster is too small (k+m > N-1); private state stays fully
@@ -164,7 +160,6 @@ func (c *Cluster) spawn(rank int, recovering bool) *pvm.Task {
 			Ranks:         ranks,
 			Policy:        c.cfg.Policy,
 			Degree:        c.cfg.Degree,
-			Placement:     c.cfg.Placement,
 			ECData:        c.cfg.ECData,
 			ECParity:      c.cfg.ECParity,
 			LazyFree:      !c.cfg.EagerFree,

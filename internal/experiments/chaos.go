@@ -39,8 +39,6 @@ type ChaosSpec struct {
 	// duplicates exit notifications.
 	Jitter      bool
 	NotifyChaos bool
-	// Placement selects the checkpoint-copy placement policy under test.
-	Placement ckptstore.Kind
 	// ECData/ECParity erasure-code checkpoint copies (k data + m parity
 	// shards). A (k,m) code survives at most m simultaneous losses, so the
 	// schedule generator caps each schedule's distinct victim ranks at
@@ -160,28 +158,10 @@ func chaosSchedule(spec ChaosSpec, i int) []KillEvent {
 	return clampSchedule(spec, kills)
 }
 
-// ecActive mirrors ckptstore.NewStore's feasibility rule: an infeasible
-// (k,m) code is silently dropped and full replication applies.
-func ecActive(spec ChaosSpec) bool {
-	return spec.ECData >= 1 && spec.ECParity >= 1 && spec.ECData+spec.ECParity <= spec.N-1
-}
-
 // killBudget is the number of distinct ranks a schedule may take down
-// before it leaves the guaranteed-survivable envelope: ECParity when
-// erasure coding is active (a (k,m) code tolerates at most m losses),
-// min(Degree, N-1) under full replication.
+// before it leaves the guaranteed-survivable envelope (ckptstore.KillBudget).
 func killBudget(spec ChaosSpec) int {
-	budget := spec.Degree
-	if spec.N-1 < budget {
-		budget = spec.N - 1
-	}
-	if ecActive(spec) {
-		budget = spec.ECParity
-	}
-	if budget < 1 {
-		budget = 1
-	}
-	return budget
+	return ckptstore.KillBudget(spec.Degree, spec.N, ckptstore.ECParams{K: spec.ECData, M: spec.ECParity})
 }
 
 // clampSchedule rewrites a generated schedule so every event is effective
@@ -238,7 +218,7 @@ func RunChaos(spec ChaosSpec) (ChaosResult, error) {
 	spec.fill()
 	base := Spec{
 		App: spec.App, N: spec.N, Policy: ft.PolicySAM, Degree: spec.Degree, Scale: spec.Scale,
-		Placement: spec.Placement, ECData: spec.ECData, ECParity: spec.ECParity,
+		ECData: spec.ECData, ECParity: spec.ECParity,
 	}
 	baseline, err := Run(base)
 	if err != nil {
@@ -337,9 +317,9 @@ func CheckInvariants(snaps []sam.InvariantSnapshot, n, degree, ecK, ecM int) []s
 		seq         int64
 		shard       int
 	}
-	// Mirror ckptstore.NewStore's feasibility rule: an infeasible code is
-	// silently dropped and full replication applies.
-	ec := ecK >= 1 && ecM >= 1 && ecK+ecM <= n-1
+	// NewStore's feasibility rule: an infeasible code is silently dropped
+	// and full replication applies.
+	ec := ckptstore.ECFeasible(ckptstore.ECParams{K: ecK, M: ecM}, n)
 	mains := make(map[uint64][]int)
 	copies := make(map[uint64][]copyRec)
 	for _, s := range snaps {

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"samft/internal/apps/gps"
-	"samft/internal/ckptstore"
 	"samft/internal/cluster"
 	"samft/internal/ft"
 	"samft/internal/sam"
@@ -26,11 +25,10 @@ import (
 // DecaySpec configures one repeated-failure decay run (GPS, small scale:
 // the scenario is about the fault-tolerance layer, not the workload).
 type DecaySpec struct {
-	N         int // cluster size (default 4)
-	Degree    int // replication degree (default 2)
-	Placement ckptstore.Kind
-	ECData    int
-	ECParity  int
+	N        int // cluster size (default 4)
+	Degree   int // replication degree (default 2)
+	ECData   int
+	ECParity int
 	// GateStep is the application step every rank parks at while the kill
 	// rounds run (default 3). Parked applications make no progress, so no
 	// application-driven checkpoint separates the rounds — exactly the
@@ -100,7 +98,7 @@ func RunDecay(spec DecaySpec) (DecayResult, error) {
 
 	base, err := Run(Spec{
 		App: GPS, N: spec.N, Policy: ft.PolicySAM, Degree: spec.Degree, Scale: Small,
-		Placement: spec.Placement, ECData: spec.ECData, ECParity: spec.ECParity,
+		ECData: spec.ECData, ECParity: spec.ECParity,
 	})
 	if err != nil {
 		return out, fmt.Errorf("decay baseline: %w", err)
@@ -129,7 +127,6 @@ func RunDecay(spec DecaySpec) (DecayResult, error) {
 		N:          spec.N,
 		Policy:     ft.PolicySAM,
 		Degree:     spec.Degree,
-		Placement:  spec.Placement,
 		ECData:     spec.ECData,
 		ECParity:   spec.ECParity,
 		AppFactory: factory,

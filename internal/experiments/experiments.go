@@ -15,7 +15,6 @@ import (
 	"samft/internal/apps/gps"
 	"samft/internal/apps/water"
 	"samft/internal/ckpt"
-	"samft/internal/ckptstore"
 	"samft/internal/cluster"
 	"samft/internal/ft"
 	"samft/internal/netsim"
@@ -114,9 +113,6 @@ type Spec struct {
 	// HostSlowdown scales rank r's modeled compute costs by HostSlowdown[r]
 	// (> 1 = slower workstation); see cluster.Config.HostSlowdown.
 	HostSlowdown []float64
-	// Placement selects the checkpoint-copy placement policy (ring,
-	// affinity, spread); see internal/ckptstore.
-	Placement ckptstore.Kind
 	// ECData/ECParity, when both positive, erasure-code checkpoint copies
 	// as k data + m parity shards (ablation; ignored when k+m > N-1).
 	ECData   int
@@ -346,7 +342,6 @@ func Run(spec Spec) (Result, error) {
 		Degree:       spec.Degree,
 		EagerFree:    spec.Eager,
 		NoSnapCache:  spec.NoSnapCache,
-		Placement:    spec.Placement,
 		ECData:       spec.ECData,
 		ECParity:     spec.ECParity,
 		HostSlowdown: spec.HostSlowdown,

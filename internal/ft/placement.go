@@ -34,8 +34,8 @@ func HomeRank(name uint64, n int) int {
 }
 
 // Checkpoint-copy placement moved to internal/ckptstore, which owns the
-// policy choice (ring/affinity/spread), the coverage ledger, and repair;
-// its ring policy is bit-compatible with the rule that used to live here.
+// ring rule, the coverage ledger, and repair; its ring placement is
+// bit-compatible with the rule that used to live here.
 
 // PrivateStateRanks returns the degree ranks that hold copies of rank's
 // private state: the next degree ranks in ring order.

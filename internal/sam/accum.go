@@ -324,7 +324,6 @@ func (p *Proc) serveAccumSnapshot(o *object, requester int) {
 	}
 	body := p.packObject(o)
 	p.st.ObjectSends.Add(1)
-	o.noteSentTo(requester)
 	p.send(requester, &wire{Kind: kAccSnap, Name: uint64(o.name), Body: body})
 }
 

@@ -240,7 +240,6 @@ func (p *Proc) startTx() {
 				p.txSend(h, w, o.nonrepro)
 				p.st.ReplicaObjects.Add(1)
 				p.st.ReplicaBytes.Add(int64(len(ob)))
-				o.noteSentTo(h) // the copy doubles as a cached frame there
 				recorded = append(recorded, ckptstore.Holder{Rank: h})
 			}
 			copyHolders[o.name] = hs
@@ -283,7 +282,6 @@ func (p *Proc) startTx() {
 			ob := p.packObject(o)
 			p.st.ObjectSends.Add(1)
 			p.st.CkptCausingSends.Add(1)
-			o.noteSentTo(t.target)
 			w := &wire{Kind: t.kind, Name: uint64(t.name), Body: ob, Inactive: true, Seq: seq, Target: t.target}
 			p.txSend(t.target, w, true)
 		case kAccData:
@@ -313,7 +311,6 @@ func (p *Proc) startTx() {
 			ob := p.packObject(o)
 			p.st.ObjectSends.Add(1)
 			p.st.CkptCausingSends.Add(1)
-			o.noteSentTo(t.target)
 			w := &wire{Kind: kAccSnap, Name: uint64(t.name), Body: ob, Inactive: true, Seq: seq}
 			p.txSend(t.target, w, true)
 		}

@@ -1,8 +1,7 @@
 package sam
 
-// Glue between the SAM runtime and the internal/ckptstore subsystem: the
-// owner-side view feeding the affinity policy, erasure shard encode /
-// reassembly, the packed ledger entries that ride kAccData migrations,
+// Glue between the SAM runtime and the internal/ckptstore subsystem:
+// erasure shard encode / reassembly, the packed ledger entries that ride kAccData migrations,
 // and the proactive coverage-repair pass that re-replicates checkpoint
 // copies destroyed by failures (instead of letting redundancy decay until
 // the next checkpoint refreshes it, as the paper's fixed placement did).
@@ -15,21 +14,6 @@ import (
 	"samft/internal/ft"
 	"samft/internal/trace"
 )
-
-// cachedRanks is the ckptstore View callback: ranks this owner has sent
-// the named object's contents to. Runs on the runtime goroutine only (the
-// store is runtime-goroutine state).
-func (p *Proc) cachedRanks(name uint64) []int {
-	o := p.objs[Name(name)]
-	if o == nil || len(o.sentTo) == 0 {
-		return nil
-	}
-	out := make([]int, 0, len(o.sentTo))
-	for r := range o.sentTo {
-		out = append(out, r)
-	}
-	return out // policies sort; order here does not matter
-}
 
 // packHolders / unpackHolders encode a ledger holder set for the wire
 // (kAccData migrations) as rank<<16 | shard.
@@ -233,7 +217,6 @@ func (p *Proc) sendRepairs(o *object, plan []ckptstore.Holder) bool {
 			note = fmt.Sprintf("shard%d", h.Shard)
 		} else {
 			w.Body = body
-			o.noteSentTo(h.Rank)
 		}
 		if p.rec != nil {
 			p.emit(trace.Event{

@@ -138,9 +138,11 @@ type wire struct {
 	FrameLen int
 	// Holders carries a packed coverage-ledger entry on kAccData
 	// migrations: the checkpoint-copy holders the sender placed for the
-	// new owner (rank<<16 | shard). Affinity placement is not
-	// recomputable by the receiver, so the holder set must travel with
-	// the ownership transfer.
+	// new owner (rank<<16 | shard). The receiver cannot recompute it:
+	// after a repair the holder set is no longer the ring set, and the
+	// erasure shard index each holder keeps no longer follows from its
+	// ring position. So the holder set travels with the ownership
+	// transfer.
 	Holders []int64
 	// Stamp piggyback (§4.3), delta-encoded (ft.DeltaStamp). HasStamp
 	// gates absorption: a stamp may legitimately carry no entries (nothing

@@ -120,15 +120,6 @@ type object struct {
 	ckptMeta  ft.ObjectMeta
 	ckptSeq   int64
 
-	// sentTo records ranks this owner has sent the object's contents to
-	// (fetch replies, pushes, snapshots, full checkpoint copies). The
-	// ckptstore affinity policy prefers these ranks as copy holders: they
-	// already spend cache memory on the object, and a holder that is also
-	// a consumer can serve reads after a recovery. Where the newest
-	// checkpoint copies actually live is the ckptstore ledger's job, not
-	// this object's.
-	sentTo map[int]bool
-
 	// Erasure-shard bookkeeping for ckptCopy entries: shardIdx is the
 	// 1-based Reed–Solomon shard this process holds (0 = a full frame),
 	// cut as (shardK, shardM) over a packed frame of frameLen bytes. A
@@ -155,15 +146,6 @@ type object struct {
 
 // usable reports whether the local contents can satisfy an access.
 func (o *object) usable() bool { return o.state == stPresent && o.data != nil }
-
-// noteSentTo records that rank received this object's contents, feeding
-// the affinity placement policy. Only the owner's record matters.
-func (o *object) noteSentTo(rank int) {
-	if o.sentTo == nil {
-		o.sentTo = make(map[int]bool)
-	}
-	o.sentTo[rank] = true
-}
 
 // invalidatePackCache drops the cached packed frame. Callers invoke it
 // when the object's contents are replaced (rather than mutated under

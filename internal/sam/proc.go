@@ -51,7 +51,7 @@ type Proc struct {
 	appFinished  bool
 
 	// Fault tolerance.
-	// store is the replicated checkpoint store: placement policy plus the
+	// store is the replicated checkpoint store: ring placement plus the
 	// coverage ledger for this process's owned objects.
 	store *ckptstore.Store
 	// repairPending names owned objects whose ledgered coverage dropped
@@ -185,9 +185,7 @@ func NewProc(task *pvm.Task, cfg Config) *Proc {
 		Rank:   cfg.Rank,
 		N:      cfg.N,
 		Degree: cfg.Degree,
-		Policy: cfg.Placement,
 		EC:     ckptstore.ECParams{K: cfg.ECData, M: cfg.ECParity},
-		View:   ckptstore.View{N: cfg.N, CachedAt: p.cachedRanks},
 	})
 	if cfg.Recovering {
 		p.restore = newRestoreState()

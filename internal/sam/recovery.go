@@ -319,8 +319,9 @@ func (p *Proc) contributeRecovery(rank int) {
 		if o.isMain && o.created {
 			// Directory information homed at the failed process. (Main
 			// copies whose checkpoint copies died with it are re-supplied
-			// by the ledger-driven repair pass below, which also covers
-			// non-ring placements the old recomputation could not name.)
+			// by the ledger-driven repair pass below, which follows the
+			// ledger rather than recomputing the ring set, since repair
+			// may already have moved copies off it.)
 			if p.home(o.name) == rank {
 				p.send(rank, &wire{Kind: kDirReport, Name: uint64(o.name), Meta: o.meta(), HasMeta: true})
 			}
@@ -382,8 +383,9 @@ func (p *Proc) contributeRecovery(rank int) {
 
 	// Proactively restore coverage for our own objects whose copies died
 	// with the failed incarnation (queued by installNewIncarnation's
-	// ledger DropRank). The repair copies may target the restarted rank
-	// or, under affinity/spread placement, any other live rank.
+	// ledger DropRank). The repair copies go to the first ranks in ring
+	// order that hold none: often the restarted rank, but any live rank
+	// when earlier repairs already moved copies.
 	p.repairCoverage()
 
 	// Everything this survivor contributes has been sent; the new process

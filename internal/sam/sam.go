@@ -26,7 +26,6 @@ package sam
 import (
 	"fmt"
 
-	"samft/internal/ckptstore"
 	"samft/internal/ft"
 	"samft/internal/pvm"
 	"samft/internal/stats"
@@ -69,9 +68,6 @@ type Config struct {
 	// Degree is the replication degree n of §4.2 (default 1): the number
 	// of simultaneous host failures that remain recoverable.
 	Degree int
-	// Placement selects the ckptstore checkpoint-copy placement policy
-	// (ring, the paper's rule and the default; affinity; spread).
-	Placement ckptstore.Kind
 	// ECData/ECParity, when both positive, switch object checkpoint
 	// copies to Reed–Solomon erasure coding: each packed frame is cut
 	// into ECData data shards plus ECParity parity shards on distinct

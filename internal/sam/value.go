@@ -244,7 +244,6 @@ func (p *Proc) sendValueData(o *object, rank int, kind int, inactive bool, seq i
 	if inactive {
 		p.st.CkptCausingSends.Add(1)
 	}
-	o.noteSentTo(rank)
 	p.send(rank, &wire{
 		Kind: kind, Name: uint64(o.name), Body: body,
 		Inactive: inactive, Seq: seq, Target: rank,

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"samft/internal/ckptstore"
 	"samft/internal/experiments"
 	"samft/internal/ft"
 )
@@ -37,7 +36,6 @@ func Compile(s *Scenario, path string) Compiled {
 		App:       compileApp(s.Fleet.App),
 		Policy:    compilePolicy(s.Fleet.FT.Policy),
 		Degree:    s.Fleet.FT.Degree,
-		Placement: compilePlacement(s.Fleet.FT.Placement),
 		ChaosSeed: s.Seed,
 	}
 	if spec.Degree == 0 {
@@ -132,16 +130,4 @@ func compilePolicy(p string) ft.Policy {
 		return ft.PolicyOff
 	}
 	panic("scenario: Compile on unvalidated policy " + p)
-}
-
-func compilePlacement(p string) ckptstore.Kind {
-	switch p {
-	case "", "ring":
-		return ckptstore.Ring
-	case "affinity":
-		return ckptstore.Affinity
-	case "spread":
-		return ckptstore.Spread
-	}
-	panic("scenario: Compile on unvalidated placement " + p)
 }

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"samft/internal/ckptstore"
 	"samft/internal/experiments"
 	"samft/internal/ft"
 )
@@ -25,7 +24,7 @@ func TestCompile(t *testing.T) {
 			"procs": 5,
 			"app": "water",
 			"scale": "paper",
-			"ft": { "policy": "sam", "degree": 2, "placement": "spread", "ec": { "data": 2, "parity": 2 } }
+			"ft": { "policy": "sam", "degree": 2, "ec": { "data": 2, "parity": 2 } }
 		},
 		"seed": 99,
 		"events": [
@@ -42,7 +41,7 @@ func TestCompile(t *testing.T) {
 
 	want := experiments.Spec{
 		N: 5, App: experiments.Water, Scale: experiments.Paper,
-		Policy: ft.PolicySAM, Degree: 2, Placement: ckptstore.Spread,
+		Policy: ft.PolicySAM, Degree: 2,
 		ECData: 2, ECParity: 2, ChaosSeed: 99,
 		Kills: []experiments.KillEvent{
 			{Rank: 1, Step: 2},
@@ -81,8 +80,8 @@ func TestCompileDefaults(t *testing.T) {
 	if c.Spec.Degree != defaultDegree {
 		t.Errorf("Degree = %d, want default %d", c.Spec.Degree, defaultDegree)
 	}
-	if c.Spec.Policy != ft.PolicySAM || c.Spec.Placement != ckptstore.Ring {
-		t.Errorf("policy/placement defaults: %v %v", c.Spec.Policy, c.Spec.Placement)
+	if c.Spec.Policy != ft.PolicySAM {
+		t.Errorf("policy default: %v", c.Spec.Policy)
 	}
 	if !c.CheckAnswer || !c.Spec.CheckInvariants {
 		t.Error("core assertions must default on")

@@ -15,7 +15,7 @@
 //	    "procs": 4,
 //	    "app": "gps",
 //	    "scale": "small",
-//	    "ft": {"policy": "sam", "degree": 2, "placement": "ring"}
+//	    "ft": {"policy": "sam", "degree": 2}
 //	  },
 //	  "seed": 1,
 //	  "events": [

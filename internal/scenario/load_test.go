@@ -28,6 +28,7 @@ func TestGoldenErrors(t *testing.T) {
 	}{
 		{"bad-syntax.json", "", true, "", "unexpected end of file"},
 		{"bad-unknown-field.json", `"frobnicate"`, true, "frobnicate", `unknown field "frobnicate"`},
+		{"bad-placement.json", `"placement"`, true, "fleet.ft.placement", `unknown field "placement"`},
 		{"bad-type.json", `"four"`, true, "fleet.procs", "cannot unmarshal string"},
 		{"bad-enum.json", `"fortran"`, true, "fleet.app", `unknown app "fortran"`},
 		{"bad-rank.json", `9`, true, "events[0].kill.rank", "rank 9 out of range [0,4)"},
@@ -97,7 +98,6 @@ func TestLoadLibrary(t *testing.T) {
 func randScenario(r *xrand.Rand, i int) *Scenario {
 	apps := []string{"gps", "water", "barnes"}
 	scales := []string{"", "small", "paper"}
-	placements := []string{"", "ring", "affinity", "spread"}
 	n := 2 + r.Intn(7)
 	s := &Scenario{
 		Name: fmt.Sprintf("random-%d", i),
@@ -106,9 +106,8 @@ func randScenario(r *xrand.Rand, i int) *Scenario {
 			App:   apps[r.Intn(len(apps))],
 			Scale: scales[r.Intn(len(scales))],
 			FT: FT{
-				Policy:    []string{"", "sam", "naive"}[r.Intn(3)],
-				Degree:    r.Intn(3), // 0 = default
-				Placement: placements[r.Intn(len(placements))],
+				Policy: []string{"", "sam", "naive"}[r.Intn(3)],
+				Degree: r.Intn(3), // 0 = default
 			},
 		},
 		Seed: r.Uint64() % 1000,

@@ -33,9 +33,6 @@ type FT struct {
 	Policy string `json:"policy,omitempty"`
 	// Degree is the replication degree (default 2).
 	Degree int `json:"degree,omitempty"`
-	// Placement is the checkpoint-copy placement policy: "ring" (default),
-	// "affinity", or "spread".
-	Placement string `json:"placement,omitempty"`
 	// EC, when present, erasure-codes checkpoint copies.
 	EC *EC `json:"ec,omitempty"`
 }

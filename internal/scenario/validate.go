@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"fmt"
+
+	"samft/internal/ckptstore"
 )
 
 // validate performs every semantic check and returns all violations,
@@ -43,11 +45,6 @@ func validate(s *Scenario, idx *posIndex) ErrorList {
 	if s.Fleet.FT.Degree < 0 {
 		add("fleet.ft.degree", "degree must be >= 0 (got %d)", s.Fleet.FT.Degree)
 	}
-	switch s.Fleet.FT.Placement {
-	case "", "ring", "affinity", "spread":
-	default:
-		add("fleet.ft.placement", `unknown placement %q (want "ring", "affinity", or "spread")`, s.Fleet.FT.Placement)
-	}
 	if ec := s.Fleet.FT.EC; ec != nil {
 		if ec.Data < 1 {
 			add("fleet.ft.ec.data", "ec data shards must be >= 1 (got %d)", ec.Data)
@@ -55,7 +52,7 @@ func validate(s *Scenario, idx *posIndex) ErrorList {
 		if ec.Parity < 1 {
 			add("fleet.ft.ec.parity", "ec parity shards must be >= 1 (got %d)", ec.Parity)
 		}
-		if ec.Data >= 1 && ec.Parity >= 1 && ec.Data+ec.Parity > n-1 {
+		if ec.Data >= 1 && ec.Parity >= 1 && !ckptstore.ECFeasible(s.Fleet.FT.ecParams(), n) {
 			add("fleet.ft.ec", "ec(%d,%d) needs %d non-owner ranks but the fleet has %d; the runtime would silently fall back to full replication",
 				ec.Data, ec.Parity, ec.Data+ec.Parity, n-1)
 		}
@@ -97,20 +94,11 @@ func validateEvents(s *Scenario, idx *posIndex, n int) ErrorList {
 	if degree == 0 {
 		degree = defaultDegree
 	}
-	// budget mirrors experiments.killBudget: the number of distinct ranks
-	// that may be down at once with recovery still guaranteed.
-	budget := degree
-	if n-1 < budget {
-		budget = n - 1
-	}
-	ecOn := false
-	if ec := s.Fleet.FT.EC; ec != nil && ec.Data >= 1 && ec.Parity >= 1 && ec.Data+ec.Parity <= n-1 {
-		ecOn = true
-		budget = ec.Parity
-	}
-	if budget < 1 {
-		budget = 1
-	}
+	// budget is the number of distinct ranks that may be down at once
+	// with recovery still guaranteed.
+	ec := s.Fleet.FT.ecParams()
+	ecOn := ckptstore.ECFeasible(ec, n)
+	budget := ckptstore.KillBudget(degree, n, ec)
 
 	victims := make(map[int]bool)
 	stepVictims := make(map[int64]map[int]bool) // at_step -> distinct ranks
@@ -222,6 +210,15 @@ func validateEvents(s *Scenario, idx *posIndex, n int) ErrorList {
 		}
 	}
 	return errs
+}
+
+// ecParams is the runtime form of the file's erasure code (zero when
+// absent).
+func (f FT) ecParams() ckptstore.ECParams {
+	if f.EC == nil {
+		return ckptstore.ECParams{}
+	}
+	return ckptstore.ECParams{K: f.EC.Data, M: f.EC.Parity}
 }
 
 func budgetName(ec bool) string {
